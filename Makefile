@@ -118,7 +118,7 @@ test-faults:
 # heartbeat supervision), the wire-level fault-conn pins, and the engine's
 # cross-backend equivalence + wire-invariant grid (see DESIGN.md §11).
 test-dist:
-	$(GO) test -race -timeout 30m ./internal/dtime/
+	$(GO) test -race -timeout 30m ./internal/rtime/ ./internal/dtime/
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
 

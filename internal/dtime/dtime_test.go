@@ -31,12 +31,12 @@ func testOptions(t *testing.T, workers int, fn func(w WorkerEnv) error) Options 
 // with raw-[]byte payloads; the blob it reports is blobFn's result.
 func solver(bodies map[int]runenv.Body, blobFn func() []byte) func(w WorkerEnv) error {
 	return func(w WorkerEnv) error {
-		return RunWorker(w, WorkerOptions{}, func(pr runenv.PartialRunner) ([]byte, error) {
-			local := make(map[int]runenv.Body, len(w.Ranks))
+		return RunWorker(w, WorkerOptions{}, func(rr runenv.Runner) ([]byte, error) {
+			local := make([]runenv.Body, w.Total)
 			for _, r := range w.Ranks {
 				local[r] = bodies[r]
 			}
-			pr.RunRanks(runenv.Config{Procs: w.Total}, local)
+			rr.Run(runenv.Config{Procs: w.Total}, local)
 			if blobFn == nil {
 				return nil, nil
 			}
@@ -250,12 +250,12 @@ func TestRemoteSendReturnsModeledArrival(t *testing.T) {
 		1: func(env runenv.Env) { env.RecvWait() },
 	}
 	fn := func(w WorkerEnv) error {
-		return RunWorker(w, WorkerOptions{}, func(pr runenv.PartialRunner) ([]byte, error) {
-			local := make(map[int]runenv.Body, len(w.Ranks))
+		return RunWorker(w, WorkerOptions{}, func(rr runenv.Runner) ([]byte, error) {
+			local := make([]runenv.Body, w.Total)
 			for _, r := range w.Ranks {
 				local[r] = bodies[r]
 			}
-			pr.RunRanks(runenv.Config{
+			rr.Run(runenv.Config{
 				Procs: w.Total,
 				Delay: func(_, _, _ int, _ float64) float64 { return linkDelay },
 			}, local)

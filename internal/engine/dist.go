@@ -14,6 +14,7 @@ import (
 	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/metrics"
+	"aiac/internal/rtime"
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
 )
@@ -36,8 +37,9 @@ type DistOptions struct {
 	Connect          time.Duration
 	Wall             time.Duration
 	// Speedup is the model-to-wall time scale the workers run at (default
-	// 1000). The coordinator only needs it when tracing: the federated
-	// clock normalization requires every process on one scale.
+	// rtime.DefaultSpeedup). The coordinator only needs it when tracing:
+	// the federated clock normalization requires every process on one
+	// scale.
 	Speedup float64
 }
 
@@ -108,12 +110,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 			detOut = wr.detOut
 			sawDet = true
 		}
-		stats.Dropped += wr.stats.Dropped
-		stats.Duplicated += wr.stats.Duplicated
-		stats.Reordered += wr.stats.Reordered
-		stats.Spiked += wr.stats.Spiked
-		stats.Stalled += wr.stats.Stalled
-		stats.Slowed += wr.stats.Slowed
+		stats.Add(wr.stats)
 	}
 	if cfg.useCentral() && !sawDet {
 		return nil, info, fmt.Errorf("engine: no worker reported the detector outcome")
@@ -150,7 +147,7 @@ func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *
 	}
 	speedup := opts.Speedup
 	if speedup <= 0 {
-		speedup = 1000
+		speedup = rtime.DefaultSpeedup
 	}
 	coord := &trace.ProcTrace{
 		Proc:    len(workers),
@@ -232,8 +229,8 @@ func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo) error {
 // DistWorkerOptions configures the worker-process half of a distributed
 // run.
 type DistWorkerOptions struct {
-	// Speedup scales model time to wall time on this worker (default 1000),
-	// matching rtime.Runner.Speedup.
+	// Speedup scales model time to wall time on this worker (default
+	// rtime.DefaultSpeedup), matching rtime.Runner.Speedup.
 	Speedup float64
 	// WrapConn, when non-nil, wraps the coordinator connection — the seam
 	// for the fault-injecting wrapper (fault.NewConn).
@@ -254,19 +251,20 @@ type DistWorkerOptions struct {
 // frames it writes to the coordinator face cfg.Faults as real packet loss,
 // duplication, and delay on the wire, scoped exactly like the in-process
 // hook (data plane only, unless the plan names kinds). Each directed
-// remote link is faulted only here — the worker runtime skips FaultHook
-// for remote sends — so the per-link decision streams stay disjoint from
-// the local ones. speedup must match DistWorkerOptions.Speedup (0 = the
-// worker default). The returned injector carries the wire-fault counters;
-// pass it as DistWorkerOptions.WireFaults so they reach the coordinator's
-// Result. Both returns are nil when no faults are active.
+// remote link is faulted only here — rtime never consults FaultHook for a
+// send to a rank hosted in another process — so the per-link decision
+// streams stay disjoint from the local ones. speedup must match
+// DistWorkerOptions.Speedup (0 = the worker default). The returned
+// injector carries the wire-fault counters; pass it as
+// DistWorkerOptions.WireFaults so they reach the coordinator's Result.
+// Both returns are nil when no faults are active.
 func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault.Injector) {
 	if cfg.Faults == nil || cfg.Faults.Zero() {
 		return nil, nil
 	}
 	cfg = cfg.withDefaults()
 	if speedup <= 0 {
-		speedup = 1000
+		speedup = rtime.DefaultSpeedup
 	}
 	inj := cfg.Faults.MustCompile(cfg.P + 1)
 	dataOnly := cfg.Faults.Kinds == nil
@@ -338,8 +336,8 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		WrapConn: opts.WrapConn,
 		ObsAddr:  opts.ObsAddr,
 		Trace:    cfg.Trace,
-	}, func(pr runenv.PartialRunner) ([]byte, error) {
-		bodies := make(map[int]runenv.Body, len(wenv.Ranks))
+	}, func(r runenv.Runner) ([]byte, error) {
+		bodies := make([]runenv.Body, wenv.Total)
 		outs := make([]*nodeOutcome, len(wenv.Ranks))
 		var detOut detect.Outcome
 		hasDet := false
@@ -352,7 +350,7 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 			}
 		}
 		rcfg, inj := buildRunenvConfig(&cfg, wenv.Total)
-		pr.RunRanks(rcfg, bodies)
+		r.Run(rcfg, bodies)
 
 		wr := &workerResult{hasDet: hasDet, detOut: detOut}
 		for i, rank := range wenv.Ranks {
@@ -369,13 +367,7 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 			wr.stats = inj.Stats()
 		}
 		if wi := opts.WireFaults; wi != nil {
-			ws := wi.Stats()
-			wr.stats.Dropped += ws.Dropped
-			wr.stats.Duplicated += ws.Duplicated
-			wr.stats.Reordered += ws.Reordered
-			wr.stats.Spiked += ws.Spiked
-			wr.stats.Stalled += ws.Stalled
-			wr.stats.Slowed += ws.Slowed
+			wr.stats.Add(wi.Stats())
 		}
 		if err := writeWorkerSidecars(&cfg, wenv, opts); err != nil {
 			return nil, err

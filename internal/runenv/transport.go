@@ -1,14 +1,11 @@
 package runenv
 
-// Transport abstraction for distributed (multi-OS-process) runtimes: when a
-// message crosses a process boundary its payload must be serialized, and a
-// runtime that hosts only part of the world needs a way to run just its own
-// ranks. The single-process runtimes (vtime, rtime) never use either hook —
-// payloads travel as in-memory references and every rank is local.
-
 // PayloadCodec serializes the application payloads a distributed transport
-// must put on the wire. Kind is the runenv message kind; the codec must
-// round-trip every payload the application sends to a remote rank.
+// must put on the wire. When a message crosses an OS-process boundary its
+// payload must be serialized; the single-process runtimes never use a codec
+// — payloads travel as in-memory references. Kind is the runenv message
+// kind; the codec must round-trip every payload the application sends to a
+// remote rank.
 //
 // Decode must be total: any input — truncated, oversized, corrupted — must
 // return an error, never panic. Encoders and decoders on both sides of a
@@ -19,17 +16,4 @@ type PayloadCodec interface {
 	EncodePayload(kind int, payload any) ([]byte, error)
 	// DecodePayload reconstructs a payload from its wire form.
 	DecodePayload(kind int, data []byte) (any, error)
-}
-
-// PartialRunner runs a subset of a world's processes; a transport delivers
-// messages to and from the ranks that live elsewhere. cfg.Procs is the total
-// number of ranks in the world; bodies maps the locally hosted ranks to
-// their process bodies. Run returns the final local time (the maximum clock
-// any local process reached).
-//
-// The Config hooks (ComputeTime, Delay, FaultHook, Observer) are consulted
-// exactly as by a full Runner, but only for events that happen locally: the
-// fate of a message to a remote rank is the transport's business.
-type PartialRunner interface {
-	RunRanks(cfg Config, bodies map[int]Body) float64
 }

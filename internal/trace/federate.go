@@ -173,8 +173,12 @@ func Federate(workers []ProcTrace, coord *ProcTrace) (*Log, error) {
 		if ds := deliveries[k]; len(ds) > 0 {
 			d := ds[0]
 			deliveries[k] = ds[1:]
+			// The delivery record carries both ends of the flight: the
+			// sender's send instant (Msg.SendT) and the arrival. The send
+			// event's own T0 may be stamped after Send returned, by which
+			// time a fast relay can already have delivered the message.
 			ev.Kind = Wire
-			ev.T1 = d.T1
+			ev.T0, ev.T1 = d.T0, d.T1
 		} else {
 			ev.Kind = Wire
 			if ev.Note == "" {

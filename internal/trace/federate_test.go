@@ -155,6 +155,30 @@ func TestFederateClockNormalizationAndRewrite(t *testing.T) {
 	}
 }
 
+// TestFederateSendStampedLate: a send event stamped after Send returned
+// (its T0 later than the real send instant) whose message a fast relay
+// already delivered still federates into a forward Wire span, running from
+// the send instant the delivery record carries to the arrival.
+func TestFederateSendStampedLate(t *testing.T) {
+	w := twoWorkerRun()
+	// Worker 0's send event: stamped at 2.4, but the message left at 1 and
+	// landed at global 2.2.
+	w[0].Events[1].T0 = 2.4
+	fed, err := Federate(w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range fed.Events() {
+		if ev.Kind == Wire && ev.Node == 0 {
+			if ev.T0 != 1 || math.Abs(ev.T1-2.2) > 1e-9 {
+				t.Fatalf("worker 0's send = %+v, want span [1, 2.2]", ev)
+			}
+			return
+		}
+	}
+	t.Fatal("worker 0's send did not become a Wire span")
+}
+
 // TestFederateLostAndDuplicate: an unmatched send is marked lost (To = -1
 // so it cannot satisfy an arrival), a surplus delivery survives as a
 // standalone arrival.
